@@ -207,7 +207,7 @@ def cmd_serve(args) -> int:
     if args.stats_csv:
         stats.write_csv(args.stats_csv)
     print(f"received {stats.frames} frames, {stats.bytes_total} bytes, "
-          f"{stats.decode_failures} failures")
+          f"{stats.decode_failures} decode failures, {stats.sink_failures} sink failures")
     return 0
 
 

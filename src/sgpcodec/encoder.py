@@ -7,9 +7,9 @@ hyperparameters), both monotone in the variational bound
 
     F_V = log N(y | 0, sn2 I + Q_nn) - Tr(K_nn - Q_nn) / (2 sn2)
 
-with Q_nn = K_nm K_mm^-1 K_mn.  The bound and its gradient are computed
-through the M x M Cholesky factor only: O(N M^2) time, O(N M) memory,
-never materializing an N x N matrix.
+with Q_nn = K_nm K_mm^-1 K_mn.  One pass computes the bound and its
+gradient in O(N M^2) time and O(N M) memory: it keeps one M x N matrix,
+Lm^-1 K_mn / sigma, and streams the N training rows in blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .kernel import (
 )
 
 MAX_EXACT_N = 4096
+# kernel entries per row block of the bound pass; desk scans (N M <= 2.9e6) fit in one
+BLOCK_ENTRIES = 3 * 2**20
 # box for log hyperparameters during ascent; exp(25) is still float32-safe
 LOG_PARAM_LIMIT = 25.0
 
@@ -153,8 +155,11 @@ class CompressedObservation:
         if triples.ndim != 2 or triples.shape[1] != 3:
             triples = triples.reshape(-1, 3)
         object.__setattr__(self, "triples", triples)
-        if triples.size and (np.any(triples[:, 2] <= 0) or np.any(triples[:, 2] > self.r_oc)):
-            raise ValueError("inducing occupancies must lie in (0, r_oc]")
+        if not 0 < self.r_oc < np.inf:
+            raise ValueError(f"r_oc must be finite and positive, got {self.r_oc}")
+        if not (np.all(np.isfinite(triples)) and np.all(triples[:, 2] > 0)
+                and np.all(triples[:, 2] <= self.r_oc)):
+            raise ValueError("inducing triples must be finite, occupancies in (0, r_oc]")
 
     @property
     def m(self) -> int:
@@ -197,44 +202,10 @@ def exact_log_marginal(data: TrainingSet, hp: RQHyperparams,
     )
 
 
-def _bound_factors(data: TrainingSet, inducing: InducingSet, hp: RQHyperparams,
-                   wrap_azimuth: bool):
-    """Shared Cholesky pipeline for the bound and its gradient.
-
-    Returns (lm, jitter, kmn, a, b, lb) with a = Lm^-1 K_mn / sigma and
-    b = I + a a^T; everything downstream is O(N M) at worst.
-    """
-    sigma = np.sqrt(hp.noise_variance)
-    kmm = kernel_matrix(inducing.locations, inducing.locations, hp, wrap_azimuth)
-    lm, jitter = chol_with_jitter(kmm, hp.signal_variance)
-    kmn = kernel_matrix(inducing.locations, data.inputs, hp, wrap_azimuth)
-    a = solve_triangular(lm, kmn, lower=True) / sigma
-    b = np.eye(inducing.size) + a @ a.T
-    try:
-        lb = cholesky(b, lower=True)
-    except LinAlgError as exc:  # b = I + a a^T is PD barring overflow
-        raise NumericalError("inner factor not positive definite") from exc
-    return lm, jitter, kmn, a, b, lb
-
-
 def variational_bound(data: TrainingSet, inducing: InducingSet, hp: RQHyperparams,
                       wrap_azimuth: bool = False) -> float:
     """Variational lower bound F_V on the exact log marginal likelihood."""
-    n = data.size
-    sn2 = hp.noise_variance
-    _, _, _, a, _, lb = _bound_factors(data, inducing, hp, wrap_azimuth)
-    y = data.targets
-    c = solve_triangular(lb, a @ y, lower=True) / np.sqrt(sn2)
-    trace_knn = float(np.sum(kernel_diag(n, hp)))
-    trace_q = sn2 * float(np.sum(a * a))
-    return float(
-        -0.5 * n * np.log(2.0 * np.pi)
-        - np.sum(np.log(np.diag(lb)))
-        - 0.5 * n * np.log(sn2)
-        - 0.5 * (y @ y) / sn2
-        + 0.5 * (c @ c)
-        - 0.5 * (trace_knn - trace_q) / sn2
-    )
+    return _bound_pass(data, inducing, hp, wrap_azimuth, want_grad=False)[0]
 
 
 def bound_grad_hyperparams(data: TrainingSet, inducing: InducingSet,
@@ -245,46 +216,76 @@ def bound_grad_hyperparams(data: TrainingSet, inducing: InducingSet,
     dK_mm, and diag(dK_nn), then collapsing every term through the
     M x M factors; matches central finite differences to ~1e-6 relative.
     """
-    n, m = data.size, inducing.size
-    sn2 = hp.noise_variance
-    sigma = np.sqrt(sn2)
-    sf2 = hp.signal_variance
-    y = data.targets
-    lm, jitter, kmn, a, b, lb = _bound_factors(data, inducing, hp, wrap_azimuth)
-    eye_m = np.eye(m)
+    return _bound_pass(data, inducing, hp, wrap_azimuth, want_grad=True)[1]
 
+
+def _bound_pass(data: TrainingSet, inducing: InducingSet, hp: RQHyperparams,
+                wrap_azimuth: bool, want_grad: bool):
+    """(F_V, its gradient if want_grad else None), over (rows, M) kernel blocks."""
+    n, m = data.size, inducing.size
+    sn2, sf2 = hp.noise_variance, hp.signal_variance
+    sigma = np.sqrt(sn2)
+    x, z_loc, y = data.inputs, inducing.locations, data.targets
+    rows = BLOCK_ENTRIES // m
+    blocks = [slice(start, start + rows) for start in range(0, n, rows)]
+    lm, jitter = chol_with_jitter(kernel_matrix(z_loc, z_loc, hp, wrap_azimuth), sf2)
+    a = np.empty((m, n), order="F")  # Lm^-1 K_mn / sigma; F order fixes A A^T rounding
+    for blk in blocks:  # a transposed (rows, M) block is F-ordered: solved in place
+        a[:, blk] = solve_triangular(lm, kernel_matrix(x[blk], z_loc, hp, wrap_azimuth).T,
+                                     lower=True, overwrite_b=True)
+    a /= sigma
+    trace_q = sum(float(np.sum(a[:, blk] * a[:, blk])) for blk in blocks)
+    b = np.eye(m) + a @ a.T
+    try:
+        lb = cholesky(b, lower=True)
+    except LinAlgError as exc:  # b = I + a a^T is PD barring overflow
+        raise NumericalError("inner factor not positive definite") from exc
     ay = a @ y
+    c = solve_triangular(lb, ay, lower=True) / sigma
+    trace_knn = float(np.sum(kernel_diag(n, hp)))
+    bound = float(
+        -0.5 * n * np.log(2.0 * np.pi)
+        - np.sum(np.log(np.diag(lb)))
+        - 0.5 * n * np.log(sn2)
+        - 0.5 * (y @ y) / sn2
+        + 0.5 * (c @ c)
+        - 0.5 * (trace_knn - sn2 * trace_q) / sn2
+    )
+    if not want_grad:
+        return bound, None
+
+    eye_m = np.eye(m)
     b_inv = cho_solve((lb, True), eye_m)
     alpha = (y - a.T @ cho_solve((lb, True), ay)) / sn2  # (sn2 I + Q)^-1 y
-    g = kmn @ alpha
-    h = cho_solve((lm, True), g)
 
-    # dF/dK_nm aggregated: outer(alpha, h) + A^T (I - B^-1) Lm^-1 / sigma
-    z = (eye_m - b_inv) @ solve_triangular(lm, eye_m, lower=True)
-    g_nm = np.outer(alpha, h) + (a.T @ z) / sigma
+    # dF/dK_nm = outer(alpha, h) + A^T zm; per block v_i = dK_i^T alpha, t_i = <A^T zm, dK_i>
+    zm = (eye_m - b_inv) @ solve_triangular(lm, eye_m, lower=True) / sigma
+    v, t = np.zeros((4, m)), np.zeros(4)
+    for blk in blocks:
+        p_blk = a[:, blk].T @ zm
+        for i, dk in enumerate(kernel_matrix_grads(x[blk], z_loc, hp, wrap_azimuth)):
+            v[i] += alpha[blk] @ dk
+            t[i] += np.sum(p_blk * dk)
+    h = cho_solve((lm, True), v[0])  # K_mm^-1 K_mn alpha, as dK/dlog sf2 = K
 
     # dF/dK_mm aggregated: -1/2 h h^T + 1/2 Lm^-T (2I - B^-1 - B) Lm^-1
     core = 2.0 * eye_m - b_inv - b
     s1 = solve_triangular(lm.T, core, lower=False)
     w = solve_triangular(lm.T, s1.T, lower=False)
     g_mm = -0.5 * np.outer(h, h) + 0.5 * w
-
-    grads_nm = kernel_matrix_grads(data.inputs, inducing.locations, hp, wrap_azimuth)
-    grads_mm = kernel_matrix_grads(inducing.locations, inducing.locations, hp, wrap_azimuth)
+    grads_mm = kernel_matrix_grads(z_loc, z_loc, hp, wrap_azimuth)
     grads_mm[0] = grads_mm[0] + jitter * eye_m  # relative jitter scales with sf2
 
     grad = np.zeros(5)
-    for i in range(4):
-        grad[i] = np.sum(g_nm * grads_nm[i]) + np.sum(g_mm * grads_mm[i])
+    grad[:4] = v @ h + t + [np.sum(g_mm * dk) for dk in grads_mm]
     grad[0] += -0.5 * n * sf2 / sn2  # diag(K_nn) term of the trace penalty
 
     # noise: dF/dsn2 via trace identities, then chain to log sn2
-    trace_b_inv = float(np.trace(b_inv))
-    trace_s_inv = (n - m + trace_b_inv) / sn2
+    trace_s_inv = (n - m + float(np.trace(b_inv))) / sn2
     trace_t = n * sf2 - sn2 * float(np.trace(b) - m)
     df_dsn2 = 0.5 * (alpha @ alpha) - 0.5 * trace_s_inv + 0.5 * trace_t / sn2**2
     grad[4] = sn2 * df_dsn2
-    return grad
+    return bound, grad
 
 
 def init_inducing_even(data: TrainingSet, m: int, seed: int = 0) -> InducingSet:

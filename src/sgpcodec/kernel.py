@@ -113,8 +113,8 @@ def kernel_matrix_grads(a, b, hp: RQHyperparams,
                         wrap_azimuth: bool = False) -> list[np.ndarray]:
     """Partials of the covariance matrix w.r.t. each log hyperparameter.
 
-    Returns five |a| x |b| matrices in PARAM_NAMES order; the noise entry
-    is identically zero since noise enters the model outside K.
+    Returns four |a| x |b| matrices, for the first four PARAM_NAMES; the
+    noise variance enters the model outside K and has no partial here.
     """
     a, b = _as_inputs(a), _as_inputs(b)
     s_th, s_al = _scaled_sq_dists(a, b, hp, wrap_azimuth)
@@ -127,7 +127,6 @@ def kernel_matrix_grads(a, b, hp: RQHyperparams,
         k_over_u * s_th,        # d/dlog l_theta
         k_over_u * s_al,        # d/dlog l_alpha
         k * rq * ((u - 1.0) / u - np.log(u)),  # d/dlog rq_alpha
-        np.zeros_like(k),       # d/dlog sn2
     ]
 
 

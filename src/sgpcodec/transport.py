@@ -11,14 +11,16 @@ second sliding-window rate for bandwidth reporting.
 from __future__ import annotations
 
 import csv
+import logging
 import socket
 import threading
 import time
-import zlib
 from collections import deque
 
 from .encoder import CompressedObservation
-from .wire import FRAME_OVERHEAD, WireFormatError, deserialize, encode_frame, serialize
+from .wire import FRAME_OVERHEAD, decode_frame, deserialize, encode_frame, serialize
+
+_log = logging.getLogger(__name__)
 
 RATE_WINDOW_SECONDS = 1.0
 _POLL_SECONDS = 0.1
@@ -47,6 +49,7 @@ class LinkStats:
         self.bytes_total = 0
         self.frames = 0
         self.decode_failures = 0
+        self.sink_failures = 0
         self.history: list[tuple[float, int, float]] = []
 
     def record_frame(self, nbytes: int) -> None:
@@ -60,6 +63,10 @@ class LinkStats:
     def record_failure(self) -> None:
         with self._lock:
             self.decode_failures += 1
+
+    def record_sink_failure(self) -> None:
+        with self._lock:
+            self.sink_failures += 1
 
     def _rate_at(self, now: float) -> float:
         while self._window and self._window[0][0] <= now - RATE_WINDOW_SECONDS:
@@ -148,7 +155,8 @@ def serve_base(endpoint: str, sink, shutdown: threading.Event | None = None,
 
     Runs until the shutdown event is set (or KeyboardInterrupt).  Frames
     failing CRC or deserialization are counted in stats.decode_failures
-    and skipped without dropping the connection.
+    and skipped without dropping the connection; an exception raised by
+    sink is logged, counted in stats.sink_failures, and serving goes on.
     """
     if shutdown is None:
         shutdown = threading.Event()
@@ -191,13 +199,13 @@ def _serve_connection(connection: socket.socket, sink,
         if body is None:
             return
         stats.record_frame(FRAME_OVERHEAD + length)
-        payload, crc = body[:length], body[length:]
-        if int.from_bytes(crc, "little") != zlib.crc32(payload) & 0xFFFFFFFF:
+        try:
+            obs = deserialize(decode_frame(head + body))
+        except ValueError:  # WireFormatError included
             stats.record_failure()
             continue
         try:
-            obs = deserialize(payload)
-        except (WireFormatError, ValueError):
-            stats.record_failure()
-            continue
-        sink(obs)
+            sink(obs)
+        except Exception:
+            _log.exception("sink failed on an observation; serving on")
+            stats.record_sink_failure()

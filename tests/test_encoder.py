@@ -3,8 +3,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
+from sgpcodec import encoder
 from sgpcodec.encoder import (
     EncoderConfig,
     InducingSet,
@@ -19,8 +21,16 @@ from sgpcodec.encoder import (
     refine_inducing_swap,
     variational_bound,
 )
-from sgpcodec.geometry import Pose, desk_sensor
-from sgpcodec.kernel import RQHyperparams, kernel_matrix
+from sgpcodec.geometry import Pose, desk_sensor, project_to_surface
+from sgpcodec.kernel import (
+    NumericalError,
+    RQHyperparams,
+    chol_with_jitter,
+    kernel_diag,
+    kernel_matrix,
+    kernel_matrix_grads,
+)
+from sgpcodec.synth import CylinderScene, generate_scan
 from sgpcodec.wire import serialize
 
 
@@ -49,6 +59,75 @@ def gp_sample_1d(rng, n, hp, noise_std=0.0, span=3.0):
     if noise_std > 0:
         y = y + rng.normal(0.0, noise_std, n)
     return TrainingSet(x, y - y.min() + 0.5)
+
+
+def reference_factors(data, inducing, hp, wrap_azimuth=False):
+    """Unblocked Cholesky pipeline: (lm, jitter, kmn, a, b, lb), a = Lm^-1 K_mn / sigma."""
+    sigma = np.sqrt(hp.noise_variance)
+    kmm = kernel_matrix(inducing.locations, inducing.locations, hp, wrap_azimuth)
+    lm, jitter = chol_with_jitter(kmm, hp.signal_variance)
+    kmn = kernel_matrix(inducing.locations, data.inputs, hp, wrap_azimuth)
+    a = solve_triangular(lm, kmn, lower=True) / sigma
+    b = np.eye(inducing.size) + a @ a.T
+    try:
+        lb = cholesky(b, lower=True)
+    except LinAlgError as exc:
+        raise NumericalError("inner factor not positive definite") from exc
+    return lm, jitter, kmn, a, b, lb
+
+
+def reference_bound(data, inducing, hp, wrap_azimuth=False):
+    """F_V from the full M x N kernel matrix: the blocked pass's oracle."""
+    n = data.size
+    sn2 = hp.noise_variance
+    _, _, _, a, _, lb = reference_factors(data, inducing, hp, wrap_azimuth)
+    y = data.targets
+    c = solve_triangular(lb, a @ y, lower=True) / np.sqrt(sn2)
+    trace_knn = float(np.sum(kernel_diag(n, hp)))
+    trace_q = sn2 * float(np.sum(a * a))
+    return float(
+        -0.5 * n * np.log(2.0 * np.pi)
+        - np.sum(np.log(np.diag(lb)))
+        - 0.5 * n * np.log(sn2)
+        - 0.5 * (y @ y) / sn2
+        + 0.5 * (c @ c)
+        - 0.5 * (trace_knn - trace_q) / sn2
+    )
+
+
+def reference_grad(data, inducing, hp, wrap_azimuth=False):
+    """Gradient of F_V through full N x M dF/dK_nm and dK_nm matrices."""
+    n, m = data.size, inducing.size
+    sn2 = hp.noise_variance
+    sigma = np.sqrt(sn2)
+    sf2 = hp.signal_variance
+    y = data.targets
+    lm, jitter, kmn, a, b, lb = reference_factors(data, inducing, hp, wrap_azimuth)
+    eye_m = np.eye(m)
+
+    ay = a @ y
+    b_inv = cho_solve((lb, True), eye_m)
+    alpha = (y - a.T @ cho_solve((lb, True), ay)) / sn2
+    h = cho_solve((lm, True), kmn @ alpha)
+    z = (eye_m - b_inv) @ solve_triangular(lm, eye_m, lower=True)
+    g_nm = np.outer(alpha, h) + (a.T @ z) / sigma
+    core = 2.0 * eye_m - b_inv - b
+    s1 = solve_triangular(lm.T, core, lower=False)
+    w = solve_triangular(lm.T, s1.T, lower=False)
+    g_mm = -0.5 * np.outer(h, h) + 0.5 * w
+
+    grads_nm = kernel_matrix_grads(data.inputs, inducing.locations, hp, wrap_azimuth)
+    grads_mm = kernel_matrix_grads(inducing.locations, inducing.locations, hp, wrap_azimuth)
+    grads_mm[0] = grads_mm[0] + jitter * eye_m
+    grad = np.zeros(5)
+    for i in range(4):
+        grad[i] = np.sum(g_nm * grads_nm[i]) + np.sum(g_mm * grads_mm[i])
+    grad[0] += -0.5 * n * sf2 / sn2
+    trace_s_inv = (n - m + float(np.trace(b_inv))) / sn2
+    trace_t = n * sf2 - sn2 * float(np.trace(b) - m)
+    df_dsn2 = 0.5 * (alpha @ alpha) - 0.5 * trace_s_inv + 0.5 * trace_t / sn2**2
+    grad[4] = sn2 * df_dsn2
+    return grad
 
 
 class TestExactMarginal:
@@ -181,6 +260,48 @@ class TestBoundGradient:
         g0 = np.linalg.norm(bound_grad_hyperparams(data, inducing, hp0))
         g1 = np.linalg.norm(bound_grad_hyperparams(data, inducing, hp))
         assert g1 < 0.05 * g0
+
+
+class TestBlockedBoundPass:
+    def test_matches_reference_over_ragged_blocks(self, monkeypatch):
+        # blocks of 2-3 rows that never divide N, so the last one is short
+        rng = np.random.default_rng(51)
+        checked = 0
+        for _ in range(40):
+            n = int(rng.integers(16, 401))
+            rows = int(rng.integers(2, 4))
+            if n % rows == 0:
+                n += 1
+            m = int(rng.integers(3, min(n, 60) + 1))
+            monkeypatch.setattr(encoder, "BLOCK_ENTRIES", rows * m)
+            data = random_training_set(rng, n)
+            hp = random_hyperparams(rng)
+            inducing = InducingSet.from_indices(
+                data, rng.choice(n, size=m, replace=False))
+            for wrap in (False, True):
+                try:
+                    f_ref = reference_bound(data, inducing, hp, wrap)
+                    g_ref = reference_grad(data, inducing, hp, wrap)
+                except NumericalError:  # wrapped K_mm need not factor
+                    continue
+                npt.assert_allclose(variational_bound(data, inducing, hp, wrap),
+                                    f_ref, rtol=1e-10, atol=0)
+                grad = bound_grad_hyperparams(data, inducing, hp, wrap)
+                assert np.all(np.abs(grad - g_ref)
+                              <= 1e-7 * np.maximum(1.0, np.abs(g_ref)))
+                checked += 1
+        assert checked >= 40
+
+    def test_single_block_bound_equals_reference_on_desk_tunnel(self):
+        sensor = desk_sensor()
+        scan = generate_scan(CylinderScene(3.0), Pose(), sensor, seed=0)
+        data = TrainingSet.from_surface(
+            project_to_surface(scan.cloud, sensor.r_max, sensor.r_min))
+        inducing = init_inducing_even(data, 500)
+        hp = default_hyperparams(data, sensor)
+        assert data.size * inducing.size <= encoder.BLOCK_ENTRIES
+        assert (variational_bound(data, inducing, hp)
+                == reference_bound(data, inducing, hp))
 
 
 class TestEvenInit:

@@ -1,6 +1,8 @@
 """Transport: framing over TCP loopback, stats accounting, corruption."""
 
+import logging
 import socket
+import struct
 import threading
 import time
 
@@ -18,7 +20,7 @@ from sgpcodec.transport import (
     send_observation,
     serve_base,
 )
-from sgpcodec.wire import encode_frame, message_size, serialize
+from sgpcodec.wire import HEADER_SIZE, encode_frame, message_size, serialize
 
 
 class FakeClock:
@@ -43,13 +45,12 @@ def free_port():
         return probe.getsockname()[1]
 
 
-def start_server(received, stats):
+def start_server(sink, stats):
     port = free_port()
     endpoint = f"127.0.0.1:{port}"
     shutdown = threading.Event()
     thread = threading.Thread(
-        target=serve_base, args=(endpoint, received.append, shutdown, stats),
-        daemon=True)
+        target=serve_base, args=(endpoint, sink, shutdown, stats), daemon=True)
     thread.start()
     return endpoint, shutdown, thread
 
@@ -152,7 +153,7 @@ class TestLoopback:
         sent = [make_observation(rng, m=int(rng.integers(1, 30)))
                 for _ in range(20)]
         received, stats_rx = [], LinkStats()
-        endpoint, shutdown, thread = start_server(received, stats_rx)
+        endpoint, shutdown, thread = start_server(received.append, stats_rx)
         try:
             conn = connect_with_retry(endpoint)
             stats_tx = LinkStats()
@@ -175,7 +176,7 @@ class TestLoopback:
         rng = np.random.default_rng(71)
         good = make_observation(rng, m=10)
         received, stats_rx = [], LinkStats()
-        endpoint, shutdown, thread = start_server(received, stats_rx)
+        endpoint, shutdown, thread = start_server(received.append, stats_rx)
         try:
             conn = connect_with_retry(endpoint)
             with conn:
@@ -192,10 +193,58 @@ class TestLoopback:
         assert received == [good, good]
         assert stats_rx.frames == 3  # corrupted frame still moved bytes
 
+    def test_crc_valid_nan_frame_counted_and_skipped(self):
+        rng = np.random.default_rng(74)
+        good = make_observation(rng, m=6)
+        nan_payload = bytearray(serialize(good))
+        struct.pack_into("<f", nan_payload, HEADER_SIZE + 8, np.nan)  # an occupancy
+        received, stats_rx = [], LinkStats()
+        endpoint, shutdown, thread = start_server(received.append, stats_rx)
+        try:
+            conn = connect_with_retry(endpoint)
+            with conn:
+                conn.sendall(encode_frame(bytes(nan_payload)))
+                send_observation(conn, good)
+            assert wait_until(lambda: len(received) == 1)
+        finally:
+            shutdown.set()
+            thread.join(timeout=5.0)
+        assert received == [good]
+        assert stats_rx.decode_failures == 1
+        assert stats_rx.frames == 2
+
+    def test_sink_exception_logged_and_serving_continues(self, caplog):
+        rng = np.random.default_rng(75)
+        sent = [make_observation(rng) for _ in range(2)]
+        received = []
+
+        def failing_once(obs):
+            received.append(obs)
+            if len(received) == 1:
+                raise RuntimeError("sink down")
+
+        stats_rx = LinkStats()
+        endpoint, shutdown, thread = start_server(failing_once, stats_rx)
+        try:
+            with caplog.at_level(logging.ERROR, logger="sgpcodec.transport"):
+                conn = connect_with_retry(endpoint)
+                with conn:
+                    for obs in sent:
+                        send_observation(conn, obs)
+                assert wait_until(lambda: len(received) == 2)
+        finally:
+            shutdown.set()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert received == sent
+        assert stats_rx.sink_failures == 1
+        assert stats_rx.decode_failures == 0
+        assert "sink down" in caplog.text
+
     def test_sequential_connections_served(self):
         rng = np.random.default_rng(72)
         received, stats_rx = [], LinkStats()
-        endpoint, shutdown, thread = start_server(received, stats_rx)
+        endpoint, shutdown, thread = start_server(received.append, stats_rx)
         try:
             for _ in range(2):
                 conn = connect_with_retry(endpoint)

@@ -132,6 +132,18 @@ class TestDeserializeErrors:
         with pytest.raises(WireLengthError, match="96.*91"):
             deserialize(wire[:-5])
 
+    @pytest.mark.parametrize("offset, value", [
+        (HEADER_SIZE + 8, np.nan),  # occupancy of the first triple
+        (36, np.nan),               # r_oc
+        (36, np.inf),
+        (HEADER_SIZE + 12, np.inf),  # azimuth of the second triple
+    ])
+    def test_non_finite_fields_rejected(self, offset, value):
+        wire = bytearray(self.good_wire())
+        struct.pack_into("<f", wire, offset, value)
+        with pytest.raises(ValueError, match="finite"):
+            deserialize(bytes(wire))
+
 
 class TestFraming:
     def test_frame_adds_eight_bytes(self):
