@@ -13,7 +13,8 @@ import numpy as np
 from . import io as cloud_io
 from .decoder import DecoderConfig, decode
 from .encoder import EncoderConfig, encode
-from .evaluate import bench, check_report, load_bench_config, resolve_sensor
+from .evaluate import (bench, check_report, compression_ratio, load_bench_config,
+                       resolve_sensor)
 from .geometry import Pose
 from .synth import generate_scan, load_scene, parse_scene
 from .transport import (
@@ -47,12 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("cloud", help="input pointcloud (.xyz/.txt/.bin)")
     p.add_argument("-o", "--output", required=True, help="output .sgpc path")
     _encoder_flags(p)
+    _sensor_flag(p)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="reconstruct a pointcloud from a .sgpc message")
     p.add_argument("message", help="input .sgpc path")
     p.add_argument("-o", "--output", required=True, help="output pointcloud path")
     _decoder_flags(p)
+    _sensor_flag(p)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("roundtrip", help="encode then decode in one step")
@@ -61,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-message", help="also keep the intermediate .sgpc")
     _encoder_flags(p)
     _decoder_flags(p)
+    _sensor_flag(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("bench", help="run a sweep from an INI config")
@@ -81,6 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("endpoint", help="host:port of the base")
     p.add_argument("clouds", nargs="+", help="pointcloud files to send")
     _encoder_flags(p)
+    _sensor_flag(p)
     p.set_defaults(func=cmd_send)
 
     p = sub.add_parser("synth", help="generate a synthetic scan with ground truth")
@@ -88,28 +93,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output pointcloud path")
     p.add_argument("--truth", help="optional CSV of per-ray true radii")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sensor", default="desk", help="desk | vlp16[:az_deg]")
+    _sensor_flag(p)
     p.set_defaults(func=cmd_synth)
     return parser
 
 
 def _encoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, default=500, help="inducing point budget")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=1, help="EM rounds")
-    p.add_argument("--mstep-iterations", type=int, default=25)
-    p.add_argument("--swaps", type=int, default=0, help="swap proposals per round")
-    p.add_argument("--sensor", default="desk", help="desk | vlp16[:az_deg]")
+    p.add_argument("--m", type=int, default=EncoderConfig.m, help="inducing point budget")
+    p.add_argument("--seed", type=int, default=EncoderConfig.rng_seed)
+    p.add_argument("--rounds", type=int, default=EncoderConfig.em_rounds, help="EM rounds")
+    p.add_argument("--mstep-iterations", type=int, default=EncoderConfig.mstep_iterations)
+    p.add_argument("--swaps", type=int, default=EncoderConfig.swap_proposals_per_round,
+                   help="swap proposals per round")
     p.add_argument("--pose", default="0,0,0,0,0,0",
                    help="x,y,z,roll,pitch,yaw of the sensor")
 
 
 def _decoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--km", type=float, default=1.0, help="threshold mean weight")
-    p.add_argument("--kstd", type=float, default=0.5, help="threshold std weight")
-    p.add_argument("--upsample", type=int, default=1, help="grid upsampling factor")
-    if not any(a.dest == "sensor" for a in p._actions):
-        p.add_argument("--sensor", default="desk", help="desk | vlp16[:az_deg]")
+    p.add_argument("--km", type=float, default=DecoderConfig.k_m,
+                   help="threshold mean weight")
+    p.add_argument("--kstd", type=float, default=DecoderConfig.k_std,
+                   help="threshold std weight")
+    p.add_argument("--upsample", type=int, default=DecoderConfig.upsample,
+                   help="grid upsampling factor")
+
+
+def _sensor_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sensor", default="desk", help="desk | vlp16[:az_deg]")
 
 
 def _encoder_config(args) -> EncoderConfig:
@@ -166,7 +176,7 @@ def cmd_roundtrip(args) -> int:
         save_observation(args.save_message, obs)
     restored = decode(obs, _decoder_config(args))
     cloud_io.save_cloud(args.output, restored)
-    ratio = 12 * cloud.shape[0] / len(serialize(obs))
+    ratio = compression_ratio(cloud, len(serialize(obs)))
     print(f"roundtrip: {cloud.shape[0]} -> M={obs.m} -> {restored.shape[0]} points "
           f"(ratio {ratio:.1f}) -> {args.output}")
     return 0

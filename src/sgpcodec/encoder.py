@@ -100,13 +100,13 @@ class InducingSet:
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Knobs of the EM loop; defaults follow the codec's reference setup."""
+    """Knobs of the EM loop; these defaults are the CLI's and the bench INI's too."""
 
     m: int = 500
-    em_rounds: int = 3
-    swap_proposals_per_round: int | None = None  # None -> 2 * m
+    em_rounds: int = 1
+    swap_proposals_per_round: int = 0  # E-step off: a swap costs a full O(N M^2) bound
     candidate_pool_size: int = 256
-    mstep_iterations: int = 40
+    mstep_iterations: int = 25
     mstep_step_size: float = 1e-4
     rng_seed: int = 0
     r_oc: float = 10.0
@@ -118,21 +118,14 @@ class EncoderConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        counts = [self.em_rounds, self.candidate_pool_size, self.mstep_iterations]
-        if self.swap_proposals_per_round is not None:
-            counts.append(self.swap_proposals_per_round)
-        if any(c < 0 for c in counts):
+        if min(self.em_rounds, self.swap_proposals_per_round, self.mstep_iterations) < 0:
             raise ValueError("counts must be >= 0")
+        if self.candidate_pool_size < 1:
+            raise ValueError("candidate_pool_size must be >= 1")
         if self.mstep_step_size <= 0:
             raise ValueError("mstep_step_size must be positive")
         if not 0 < self.r_min < self.r_oc:
             raise ValueError("need 0 < r_min < r_oc")
-
-    @property
-    def proposals(self) -> int:
-        if self.swap_proposals_per_round is None:
-            return 2 * self.m
-        return self.swap_proposals_per_round
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,13 +314,13 @@ def refine_inducing_swap(data: TrainingSet, inducing: InducingSet,
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     n = data.size
-    if cfg.proposals == 0 or inducing.size >= n:
+    if cfg.swap_proposals_per_round == 0 or inducing.size >= n:
         return inducing
     pool = rng.choice(n, size=min(cfg.candidate_pool_size, n), replace=False)
     current = np.array(inducing.indices)
     taken = set(current.tolist())
     f_cur = variational_bound(data, inducing, hp, cfg.wrap_azimuth)
-    for _ in range(cfg.proposals):
+    for _ in range(cfg.swap_proposals_per_round):
         slot = int(rng.integers(current.size))
         candidate = int(pool[rng.integers(pool.size)])
         if candidate in taken:

@@ -13,11 +13,12 @@ from __future__ import annotations
 import configparser
 import io
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .decoder import (
+    DecoderConfig,
     SurfacePrediction,
     fit_base_gp,
     occupied_mask,
@@ -120,19 +121,16 @@ class BenchReport:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One sweep: scenes x inducing counts on a fixed sensor."""
+    """One sweep over scenes x m_values; encoder.rng_seed also seeds the scans."""
 
     scenes: tuple[tuple[str, Scene], ...]
     m_values: tuple[int, ...]
-    sensor: SensorModel
-    seed: int = 0
-    em_rounds: int = 1
-    swap_proposals: int = 0
-    candidate_pool_size: int = 256
-    mstep_iterations: int = 15
-    mstep_step_size: float = 1e-4
-    k_m: float = 1.0
-    k_std: float = 0.5
+    encoder: EncoderConfig
+    decoder: DecoderConfig
+
+    def __post_init__(self):
+        if self.encoder.sensor is not self.decoder.sensor:
+            raise ValueError("encoder and decoder must share one sensor")
 
 
 def bench(cfg: BenchConfig) -> BenchReport:
@@ -141,30 +139,18 @@ def bench(cfg: BenchConfig) -> BenchReport:
         raise ValueError("bench needs at least one scene and one M value")
     rows = []
     for name, scene in cfg.scenes:
-        scan = generate_scan(scene, Pose(), cfg.sensor, seed=cfg.seed)
-        grid = make_query_grid(cfg.sensor, 1)
+        scan = generate_scan(scene, Pose(), cfg.decoder.sensor, seed=cfg.encoder.rng_seed)
+        grid = make_query_grid(cfg.decoder.sensor, cfg.decoder.upsample)
         for m in cfg.m_values:
-            enc_cfg = EncoderConfig(
-                m=m,
-                em_rounds=cfg.em_rounds,
-                swap_proposals_per_round=cfg.swap_proposals,
-                candidate_pool_size=cfg.candidate_pool_size,
-                mstep_iterations=cfg.mstep_iterations,
-                mstep_step_size=cfg.mstep_step_size,
-                rng_seed=cfg.seed,
-                r_oc=cfg.sensor.r_max,
-                r_min=cfg.sensor.r_min,
-                sensor=cfg.sensor,
-            )
             t0 = time.perf_counter()
-            obs = encode(scan.cloud, scan.pose, enc_cfg)
+            obs = encode(scan.cloud, scan.pose, replace(cfg.encoder, m=m))
             encode_seconds = time.perf_counter() - t0
             wire_bytes = len(serialize(obs))
 
             t0 = time.perf_counter()
             model = fit_base_gp(obs)
             pred = predict_surface(model, grid)
-            v_th = variance_threshold(pred, cfg.k_m, cfg.k_std)
+            v_th = variance_threshold(pred, cfg.decoder.k_m, cfg.decoder.k_std)
             mask = occupied_mask(pred, v_th)
             decode_seconds = time.perf_counter() - t0
 
@@ -219,12 +205,20 @@ def check_report(report: BenchReport) -> list[str]:
     return problems
 
 
+# [bench] key -> the EncoderConfig / DecoderConfig field it sets
+ENCODER_KEYS = {"seed": "rng_seed", "swap_proposals": "swap_proposals_per_round",
+                "em_rounds": "em_rounds", "candidate_pool_size": "candidate_pool_size",
+                "mstep_iterations": "mstep_iterations",
+                "mstep_step_size": "mstep_step_size"}
+DECODER_KEYS = {"km": "k_m", "kstd": "k_std"}
+
+
 def load_bench_config(path) -> BenchConfig:
     """Read a sweep description from an INI file.
 
-    [bench] holds m_values (whitespace-separated), seed, sensor
-    (desk | vlp16[:azimuth_deg]) and encoder/threshold knobs; each
-    [scene:<name>] section holds one scene's key=value fields.
+    [bench] holds m_values (whitespace-separated), sensor (desk |
+    vlp16[:azimuth_deg]) and the ENCODER_KEYS / DECODER_KEYS knobs, and
+    nothing else; each [scene:<name>] section holds one scene's fields.
     """
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as fh:
@@ -232,24 +226,26 @@ def load_bench_config(path) -> BenchConfig:
     if "bench" not in parser:
         raise ValueError("bench config needs a [bench] section")
     bench_sec = parser["bench"]
+    unknown = set(bench_sec) - {"m_values", "sensor", *ENCODER_KEYS, *DECODER_KEYS}
+    if unknown:
+        raise ValueError(f"unknown [bench] keys: {sorted(unknown)}")
     scenes = []
     for section in parser.sections():
         if section.startswith("scene:"):
             lines = "\n".join(f"{k}={v}" for k, v in parser[section].items())
             scenes.append((section.split(":", 1)[1], parse_scene(lines)))
-    m_values = tuple(int(v) for v in bench_sec.get("m_values", "200 500").split())
+    sensor = resolve_sensor(bench_sec.get("sensor", "desk"))
+
+    def knobs(config_class, keys):
+        return {field: type(getattr(config_class, field))(bench_sec[key])
+                for key, field in keys.items() if key in bench_sec}
+
     return BenchConfig(
         scenes=tuple(scenes),
-        m_values=m_values,
-        sensor=resolve_sensor(bench_sec.get("sensor", "desk")),
-        seed=bench_sec.getint("seed", 0),
-        em_rounds=bench_sec.getint("em_rounds", 1),
-        swap_proposals=bench_sec.getint("swap_proposals", 0),
-        candidate_pool_size=bench_sec.getint("candidate_pool_size", 256),
-        mstep_iterations=bench_sec.getint("mstep_iterations", 15),
-        mstep_step_size=bench_sec.getfloat("mstep_step_size", 1e-4),
-        k_m=bench_sec.getfloat("km", 1.0),
-        k_std=bench_sec.getfloat("kstd", 0.5),
+        m_values=tuple(int(v) for v in bench_sec.get("m_values", "200 500").split()),
+        encoder=EncoderConfig(r_oc=sensor.r_max, r_min=sensor.r_min, sensor=sensor,
+                              **knobs(EncoderConfig, ENCODER_KEYS)),
+        decoder=DecoderConfig(sensor, **knobs(DecoderConfig, DECODER_KEYS)),
     )
 
 

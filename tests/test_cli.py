@@ -9,9 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from sgpcodec.cli import main
+from sgpcodec.cli import _decoder_config, _encoder_config, build_parser, main
+from sgpcodec.decoder import DecoderConfig
+from sgpcodec.encoder import EncoderConfig, encode
+from sgpcodec.geometry import Pose, desk_sensor
 from sgpcodec.io import load_cloud
-from sgpcodec.wire import load_observation, message_size
+from sgpcodec.wire import load_observation, message_size, serialize
 
 
 def run(args):
@@ -92,6 +95,23 @@ class TestEncodeDecode:
         assert load_observation(msg).m == 48
         assert load_cloud(out).shape[1] == 3
         assert "ratio" in capsys.readouterr().out
+
+    def test_default_flags_are_the_config_defaults(self):
+        args = build_parser().parse_args(["roundtrip", "in.xyz", "-o", "out.xyz"])
+        enc = _encoder_config(args)
+        sensor = enc.sensor
+        assert enc == EncoderConfig(sensor=sensor, r_oc=sensor.r_max, r_min=sensor.r_min)
+        dec = _decoder_config(args)
+        assert dec == DecoderConfig(dec.sensor)
+
+    def test_encode_without_em_flags_matches_library_defaults(self, tmp_path):
+        cloud_path = synth_cloud(tmp_path)
+        msg = tmp_path / "scan.sgpc"
+        assert run(["encode", str(cloud_path), "-o", str(msg), "--m", "48"]) == 0
+        sensor = desk_sensor()
+        cfg = EncoderConfig(m=48, sensor=sensor, r_oc=sensor.r_max, r_min=sensor.r_min)
+        expected = serialize(encode(load_cloud(cloud_path), Pose(), cfg))
+        assert msg.read_bytes() == expected
 
     def test_missing_input_reports_error(self, tmp_path, capsys):
         assert run(["encode", str(tmp_path / "nope.xyz"),

@@ -553,6 +553,9 @@ class TestValidation:
             EncoderConfig(mstep_step_size=0.0)
         with pytest.raises(ValueError):
             EncoderConfig(r_oc=0.3, r_min=0.4)
+        with pytest.raises(ValueError, match="candidate_pool_size"):
+            EncoderConfig(m=16, em_rounds=1, swap_proposals_per_round=5,
+                          candidate_pool_size=0)
 
     def test_observation_rejects_out_of_band_occupancy(self):
         from sgpcodec.encoder import CompressedObservation

@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sgpcodec.decoder import SurfacePrediction
+from sgpcodec.decoder import DecoderConfig, SurfacePrediction
+from sgpcodec.encoder import EncoderConfig
 from sgpcodec.evaluate import (
     BenchConfig,
     BenchReport,
@@ -213,12 +214,13 @@ class TestBenchReport:
 class TestBenchSweep:
     @staticmethod
     def small_config(seed=0):
+        sensor = desk_sensor()
         return BenchConfig(
             scenes=(("ball", SphereScene(5.0)),),
             m_values=(8, 16),
-            sensor=desk_sensor(),
-            seed=seed,
-            em_rounds=0,
+            encoder=EncoderConfig(em_rounds=0, rng_seed=seed, r_oc=sensor.r_max,
+                                  r_min=sensor.r_min, sensor=sensor),
+            decoder=DecoderConfig(sensor),
         )
 
     def test_row_per_scene_and_m(self):
@@ -246,7 +248,20 @@ class TestBenchSweep:
         cfg = self.small_config()
         with pytest.raises(ValueError):
             bench(BenchConfig(scenes=(), m_values=cfg.m_values,
-                              sensor=cfg.sensor))
+                              encoder=cfg.encoder, decoder=cfg.decoder))
+
+    def test_configs_must_share_one_sensor(self):
+        cfg = self.small_config()
+        with pytest.raises(ValueError, match="sensor"):
+            BenchConfig(scenes=cfg.scenes, m_values=cfg.m_values,
+                        encoder=cfg.encoder, decoder=DecoderConfig(desk_sensor()))
+
+    def test_upsampled_decoder_rejected(self):
+        cfg = self.small_config()
+        upsampled = DecoderConfig(cfg.decoder.sensor, upsample=2)
+        with pytest.raises(ValueError, match="aligned"):
+            bench(BenchConfig(scenes=cfg.scenes, m_values=(8,),
+                              encoder=cfg.encoder, decoder=upsampled))
 
 
 class TestConfigLoading:
@@ -273,13 +288,34 @@ class TestConfigLoading:
         )
         cfg = load_bench_config(path)
         assert cfg.m_values == (100, 200)
-        assert cfg.seed == 7
-        assert cfg.em_rounds == 2
-        assert cfg.swap_proposals == 40
-        assert cfg.mstep_iterations == 9
-        assert (cfg.k_m, cfg.k_std) == (0.25, 0.0)
+        assert cfg.encoder.rng_seed == 7
+        assert cfg.encoder.em_rounds == 2
+        assert cfg.encoder.swap_proposals_per_round == 40
+        assert cfg.encoder.mstep_iterations == 9
+        assert (cfg.decoder.k_m, cfg.decoder.k_std) == (0.25, 0.0)
         assert [name for name, _ in cfg.scenes] == ["tunnel", "room"]
-        npt.assert_allclose(cfg.sensor.azimuth_resolution, np.radians(0.5))
+        npt.assert_allclose(cfg.decoder.sensor.azimuth_resolution, np.radians(0.5))
+        assert cfg.encoder.sensor is cfg.decoder.sensor
+        assert (cfg.encoder.r_oc, cfg.encoder.r_min) == (cfg.decoder.sensor.r_max,
+                                                         cfg.decoder.sensor.r_min)
+
+    def test_omitted_keys_take_config_defaults(self, tmp_path):
+        path = tmp_path / "sweep.ini"
+        path.write_text("[bench]\nm_values = 50\n\n[scene:ball]\nvariant = sphere\n")
+        cfg = load_bench_config(path)
+        defaults = EncoderConfig()
+        for name in ("em_rounds", "swap_proposals_per_round", "candidate_pool_size",
+                     "mstep_iterations", "mstep_step_size", "rng_seed"):
+            assert getattr(cfg.encoder, name) == getattr(defaults, name), name
+        assert (cfg.decoder.k_m, cfg.decoder.k_std) == (DecoderConfig.k_m,
+                                                        DecoderConfig.k_std)
+
+    def test_unknown_bench_keys_rejected(self, tmp_path):
+        path = tmp_path / "typo.ini"
+        path.write_text("[bench]\nm_values = 50\nem_round = 0\nswap_proposal = 9\n"
+                        "\n[scene:ball]\nvariant = sphere\n")
+        with pytest.raises(ValueError, match="em_round.*swap_proposal"):
+            load_bench_config(path)
 
     def test_missing_bench_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
